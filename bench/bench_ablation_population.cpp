@@ -1,7 +1,7 @@
 // Ablation: memory scaling of the lazy population slab.
 //
-// The same paper-scale distributed campaign runs twice in lazy mode with
-// the interested-peer population rescaled to 100k and then 1M peers
+// The same paper-scale distributed campaign runs twice with the
+// interested-peer population rescaled to 100k and then 1M peers
 // (DistributedConfig::population_override rescales every per-file finite
 // pool pro-rata; arrival rates stay at the campaign baseline). Records are
 // streamed (counted + fingerprinted, not retained) so the dataset itself
@@ -11,14 +11,11 @@
 // 1.25x of the 100k run — because unarrived peers are pure per-demand
 // accounting and live-peer storage tracks peak concurrency (slab slots ~=
 // peak active peers), not pool size and not total arrivals (which exceed
-// peak active by an order of magnitude over a multi-week campaign). A
-// third run in legacy_eager mode shows the structural contrast: no slab,
-// no node retirement, every arrival stays materialized forever.
+// peak active by an order of magnitude over a multi-week campaign).
 //
 // Run order matters: peak RSS is a process-wide high-water mark, so the
-// 100k lazy run goes first (its snapshot is clean), the 1M run second (its
-// snapshot is the true maximum), and the eager contrast last (its RSS
-// reading is contaminated by the 1M run and is reported as counters only).
+// 100k run goes first (its snapshot is clean) and the 1M run second (its
+// snapshot is the true maximum).
 
 #include <chrono>
 #include <cstdio>
@@ -33,8 +30,7 @@ using namespace edhp;
 namespace {
 
 scenario::DistributedConfig campaign(const bench::Options& opt,
-                                     std::uint64_t population,
-                                     peer::PopulationMode mode) {
+                                     std::uint64_t population) {
   scenario::DistributedConfig config;
   config.scale = opt.scale;
   if (opt.seed != 0) config.seed = opt.seed;
@@ -43,7 +39,6 @@ scenario::DistributedConfig campaign(const bench::Options& opt,
   config.with_top_peer = false;  // isolate the population's footprint
   config.population_override = population;
   config.stream_records = true;
-  config.population_mode = mode;
   return config;
 }
 
@@ -53,9 +48,9 @@ struct RunOutcome {
 };
 
 RunOutcome run(const bench::Options& opt, const char* label,
-               std::uint64_t population, peer::PopulationMode mode) {
+               std::uint64_t population) {
   using clock = std::chrono::steady_clock;
-  const auto config = campaign(opt, population, mode);
+  const auto config = campaign(opt, population);
   std::cout << "  " << label << ": pool " << population << ", "
             << config.days << " days, " << config.honeypots
             << " honeypots...\n";
@@ -84,12 +79,8 @@ int main(int argc, char** argv) {
   const auto opt = bench::parse_options(argc, argv, /*default_scale=*/1.0);
   std::cout << "ablation: population memory scaling (lazy slab, 100k vs 1M)\n\n";
 
-  const RunOutcome small = run(opt, "lazy 100k", 100000,
-                               peer::PopulationMode::lazy);
-  const RunOutcome large = run(opt, "lazy 1M", 1000000,
-                               peer::PopulationMode::lazy);
-  const RunOutcome eager = run(opt, "eager 100k (contrast)", 100000,
-                               peer::PopulationMode::legacy_eager);
+  const RunOutcome small = run(opt, "100k", 100000);
+  const RunOutcome large = run(opt, "1M", 1000000);
 
   const double ratio =
       small.result.peak_rss_bytes > 0
@@ -100,12 +91,6 @@ int main(int argc, char** argv) {
             << small.result.peak_rss_bytes / (1024 * 1024) << " MiB -> "
             << large.result.peak_rss_bytes / (1024 * 1024) << " MiB (ratio "
             << ratio << ", budget 1.25)\n";
-  std::cout << "  eager contrast at 100k: slab slots "
-            << eager.result.population_slab_slots << ", nodes retired "
-            << eager.result.net_nodes_retired << " (every one of "
-            << eager.result.population_arrivals
-            << " arrivals stays materialized; RSS not comparable after the "
-               "1M run)\n";
   std::cout << "\nexpected: the ratio stays under 1.25 — a 10x larger "
                "interested population is pure per-demand accounting, and "
                "live-peer memory tracks peak concurrency (slab slots ~= peak "

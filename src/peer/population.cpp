@@ -18,8 +18,7 @@ void fold(PeerStats& into, const PeerStats& s) {
 
 }  // namespace
 
-Population::Population(PeerContext ctx, Rng rng, PopulationMode mode)
-    : ctx_(ctx), rng_(rng), mode_(mode) {
+Population::Population(PeerContext ctx, Rng rng) : ctx_(ctx), rng_(rng) {
   // Bound of the diurnal factor for thinning, scanned over one week.
   for (double t = 0; t < kWeek; t += kMinute * 10) {
     diurnal_max_ = std::max(diurnal_max_, ctx_.diurnal->factor(t));
@@ -138,34 +137,13 @@ void Population::spawn(std::size_t demand_index) {
   ++d.spawned;
   ++arrivals_;
 
-  // The RNG draw order below (profile, then node, then id, then secondary
-  // targets, then the peer's own stream) is identical in both modes; so is
-  // the single reclaim event each finished peer schedules. Mode selection
-  // therefore cannot shift a single draw or event of a campaign.
+  // RNG draw order: profile, then node, then secondary targets, then the
+  // peer's own stream.
   Rng peer_rng = rng_.split(arrivals_);
   PeerProfile profile = sample_profile(peer_rng, *ctx_.params, *ctx_.diurnal);
   const auto node = ctx_.net->add_node(profile.reachable, profile.tz_offset_hours,
                                        profile.upload_bps);
-
-  const std::uint64_t id = next_id_++;
   auto secondary = sample_secondary(peer_rng, demand_index);
-
-  if (mode_ == PopulationMode::legacy_eager) {
-    auto peer = std::make_unique<Peer>(
-        ctx_, node, std::move(profile), d.cfg.file, peer_rng.split(1),
-        [this, id] {
-          // Reclaim on the next step: the peer may still be on the call stack.
-          ctx_.net->simulation().schedule_in(0.0,
-                                             [this, id] { reclaim_legacy(id); });
-        },
-        std::move(secondary));
-    Peer& ref = *peer;
-    peers_.emplace(id, std::move(peer));
-    ++live_;
-    peak_live_ = std::max(peak_live_, live_);
-    ref.start();
-    return;
-  }
 
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t generation = slot_gen_[slot];
@@ -209,22 +187,10 @@ void Population::reclaim(std::uint32_t slot, std::uint32_t generation) {
   ++finished_;
 }
 
-void Population::reclaim_legacy(std::uint64_t id) {
-  auto it = peers_.find(id);
-  if (it == peers_.end()) return;
-  fold(finished_totals_, it->second->stats());
-  peers_.erase(it);
-  --live_;
-  ++finished_;
-}
-
 PeerStats Population::totals() const {
   PeerStats out = finished_totals_;
   for (const auto& p : slot_peer_) {
     if (p) fold(out, p->stats());
-  }
-  for (const auto& [id, p] : peers_) {
-    fold(out, p->stats());
   }
   return out;
 }

@@ -25,7 +25,6 @@
 // never pull whole Peer objects through the cache.
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "peer/downloader.hpp"
@@ -44,25 +43,10 @@ struct FileDemand {
   Duration ramp_up = 0;
 };
 
-/// Storage strategy for live peers. Both modes consume the RNG stream in
-/// exactly the same order and schedule identical events, so a campaign's
-/// dataset is bit-for-bit independent of the mode (tested on the golden
-/// fingerprints); they differ only in memory behaviour.
-enum class PopulationMode : std::uint8_t {
-  /// Recycling slab + SoA bookkeeping; finished peers retire their network
-  /// node. Constant memory in total arrivals. The default.
-  lazy,
-  /// The historical path: an id-keyed map of live peers, nodes never
-  /// retired. Memory grows with total arrivals; kept as the determinism
-  /// baseline the lazy path is tested against.
-  legacy_eager,
-};
-
 class Population {
  public:
   /// `ctx` holds non-owning pointers that must outlive the Population.
-  Population(PeerContext ctx, Rng rng,
-             PopulationMode mode = PopulationMode::lazy);
+  Population(PeerContext ctx, Rng rng);
   ~Population();
 
   Population(const Population&) = delete;
@@ -78,7 +62,6 @@ class Population {
   /// in the event queue.
   void stop();
 
-  [[nodiscard]] PopulationMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::uint64_t arrivals() const noexcept { return arrivals_; }
   [[nodiscard]] std::uint64_t active() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t finished() const noexcept { return finished_; }
@@ -86,17 +69,14 @@ class Population {
   [[nodiscard]] std::uint64_t peak_active() const noexcept {
     return peak_live_;
   }
-  /// Slots ever allocated by the lazy slab (its structural memory bound);
-  /// 0 in legacy_eager mode.
+  /// Slots ever allocated by the slab (its structural memory bound).
   [[nodiscard]] std::size_t slab_capacity() const noexcept {
     return slot_peer_.size();
   }
 
   /// Aggregate behaviour counters (finished peers plus live ones).
   [[nodiscard]] PeerStats totals() const;
-  /// Counters folded from FINISHED peers of one demand (lazy mode; in
-  /// legacy_eager mode finished stats are only tracked population-wide and
-  /// every per-demand entry stays zero).
+  /// Counters folded from FINISHED peers of one demand.
   [[nodiscard]] const PeerStats& finished_stats(std::size_t demand_index) const {
     return demand_finished_.at(demand_index);
   }
@@ -116,7 +96,6 @@ class Population {
   /// Fold a finished slab peer back into the aggregates and release its
   /// slot + network node. Generation-checked: stale events are no-ops.
   void reclaim(std::uint32_t slot, std::uint32_t generation);
-  void reclaim_legacy(std::uint64_t id);
   [[nodiscard]] std::uint32_t acquire_slot();
   [[nodiscard]] double rate_at(const Demand& d, Time t) const;
   [[nodiscard]] std::vector<FileId> sample_secondary(Rng& rng,
@@ -124,12 +103,11 @@ class Population {
 
   PeerContext ctx_;
   Rng rng_;
-  PopulationMode mode_;
   std::vector<Demand> demands_;
   std::vector<double> demand_cumulative_;  ///< prefix sums of demand rates
   std::vector<PeerStats> demand_finished_;  ///< aligned with demands_
 
-  // Lazy slab. slot_peer_ owns the materialized peers (cold); the parallel
+  // Slab. slot_peer_ owns the materialized peers (cold); the parallel
   // vectors are the hot per-slot scalars (SoA). Freed slots chain through
   // slot_next_free_.
   std::vector<std::unique_ptr<Peer>> slot_peer_;
@@ -140,10 +118,6 @@ class Population {
   std::vector<std::uint64_t> slot_arrival_;
   std::uint32_t free_head_ = kNoSlot;
 
-  // legacy_eager storage.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Peer>> peers_;
-
-  std::uint64_t next_id_ = 1;
   std::uint64_t arrivals_ = 0;
   std::uint64_t live_ = 0;
   std::uint64_t peak_live_ = 0;

@@ -9,10 +9,11 @@
 // contacting peers during its first day and advertises everything it
 // learns; 15 days.
 //
-// Both return the published dataset (merged + stage-2 anonymised log) plus
-// the scenario metadata analyses need. `scale` multiplies peer arrival
-// rates and pools; durations are unchanged, so shapes are preserved while
-// runtime drops.
+// Both, like run_multi_server() (multi_server.hpp), go through one wiring
+// path (campaign.hpp) and return the published dataset (merged + stage-2
+// anonymised log) plus the scenario metadata analyses need. `scale`
+// multiplies peer arrival rates and pools; durations are unchanged, so
+// shapes are preserved while runtime drops.
 
 #include <cstdint>
 #include <iosfwd>
@@ -36,25 +37,22 @@
 
 namespace edhp::scenario {
 
-struct DistributedConfig {
-  double scale = 0.25;
-  std::uint64_t seed = 20081001;
-  std::size_t honeypots = 24;
-  double days = 32;
-  bool with_top_peer = true;
-  /// Mean time between honeypot host failures (0 disables crash injection).
-  /// This is the historical hourly-Bernoulli crash grid, kept bit-for-bit;
-  /// ignored when `chaos.enabled` (the FaultPlan then owns all churn).
-  Duration host_mtbf = days_(16);
+/// Fields every campaign shares. Each campaign's config derives from this
+/// and sets its own defaults for `scale`, `seed` and `days`.
+struct CampaignConfig {
+  double scale;
+  std::uint64_t seed;
+  /// Campaign length; must be finite and > 0 (fractions of a day are fine).
+  double days;
   /// Full fault model: when enabled, a seeded FaultPlan drives host, link,
   /// server, latency and partition churn, and the manager runs with retry
   /// backoff, watchdog escalation and crash-safe log spooling.
   fault::ChaosConfig chaos;
   /// Adversarial traffic: when enabled, a seeded AbusePlan spawns hostile
   /// peers (byte corruptors, connection flooders, slowloris sessions,
-  /// oversize-message abusers) against every honeypot and the server.
+  /// oversize-message abusers) against every honeypot and home server.
   fault::AbuseConfig abuse;
-  /// Admission-control policy for the server and every honeypot. Disabled
+  /// Admission-control policy for the servers and every honeypot. Disabled
   /// by default; when `abuse.enabled` and this is left disabled, the tuned
   /// abuse_defense_config() policy is applied automatically.
   net::DefenseConfig defense;
@@ -62,6 +60,25 @@ struct DistributedConfig {
   /// (the ablation baseline); ignored unless `abuse.enabled`.
   bool auto_defense = true;
   peer::BehaviorParams behavior;  ///< defaults to behavior_2008()
+  /// Enforce the record-conservation ledger: the run fails (throws
+  /// audit::ImbalanceError) unless born == merged + Σ accounted. The ledger
+  /// itself is always filled (ScenarioResult::audit); this flag only arms
+  /// the hard failure. Off-path cost is one counter increment per record,
+  /// so goldens are bit-identical either way.
+  bool audit = false;
+
+ protected:
+  CampaignConfig(double default_scale, std::uint64_t default_seed,
+                 double default_days);
+};
+
+struct DistributedConfig : CampaignConfig {
+  std::size_t honeypots = 24;
+  bool with_top_peer = true;
+  /// Mean time between honeypot host failures (0 disables crash injection).
+  /// This is the historical hourly-Bernoulli crash grid, kept bit-for-bit;
+  /// ignored when `chaos.enabled` (the FaultPlan then owns all churn).
+  Duration host_mtbf = 16 * kDay;
   /// Override of the regional activity mixture (default: european_2008).
   std::optional<sim::DiurnalProfile> diurnal;
 
@@ -77,38 +94,12 @@ struct DistributedConfig {
   /// retaining it (ScenarioResult::records_streamed/stream_fingerprint).
   /// Bench-only: the merged dataset comes out empty. Keep off with chaos.
   bool stream_records = false;
-  /// Live-peer storage strategy; both modes produce bit-identical campaign
-  /// datasets and differ only in memory behaviour.
-  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
-  /// Enforce the record-conservation ledger: the run fails (throws
-  /// audit::ImbalanceError) unless born == merged + Σ accounted. The ledger
-  /// itself is always filled (ScenarioResult::audit); this flag only arms
-  /// the hard failure. Off-path cost is one counter increment per record,
-  /// so goldens are bit-identical either way.
-  bool audit = false;
 
   DistributedConfig();
-
- private:
-  static constexpr Duration days_(double d) { return d * kDay; }
 };
 
-struct GreedyConfig {
-  double scale = 0.25;
-  std::uint64_t seed = 20081101;
-  double days = 15;
+struct GreedyConfig : CampaignConfig {
   Duration harvest_window = kDay;
-  /// Full fault model (disabled by default; see DistributedConfig::chaos).
-  fault::ChaosConfig chaos;
-  /// Adversarial traffic + admission control (see DistributedConfig).
-  fault::AbuseConfig abuse;
-  net::DefenseConfig defense;
-  bool auto_defense = true;
-  peer::BehaviorParams behavior;
-  /// Live-peer storage strategy (see DistributedConfig::population_mode).
-  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
-  /// Enforce the record-conservation ledger (see DistributedConfig::audit).
-  bool audit = false;
 
   GreedyConfig();
 };
@@ -176,8 +167,7 @@ struct ScenarioResult {
   /// Interested peers that ever arrived / were simultaneously live.
   std::uint64_t population_arrivals = 0;
   std::uint64_t population_peak_active = 0;
-  /// Slots the population slab ever allocated (its structural footprint;
-  /// 0 under PopulationMode::legacy_eager).
+  /// Slots the population slab ever allocated (its structural footprint).
   std::uint64_t population_slab_slots = 0;
   /// Node-table high-water mark and retirements (constant-memory evidence:
   /// peak live nodes stays near peak active peers, not total arrivals).

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "logbook/journal.hpp"
 #include "scenario/scenario.hpp"
 #include "server/server.hpp"
+#include "test_support.hpp"
 
 namespace edhp {
 namespace {
@@ -644,24 +644,6 @@ TEST_F(ByzantineDefenseTest, TornTailSweepEndingInQuarantineFrame) {
 namespace edhp::scenario {
 namespace {
 
-std::uint64_t fingerprint(const logbook::LogFile& log) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : log.records) {
-    std::uint64_t t_bits = 0;
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  return h;
-}
-
 DistributedConfig mini_byzantine_config() {
   DistributedConfig config;
   config.scale = 0.01;
@@ -845,7 +827,7 @@ TEST(ByzantineScenario, GoldenDistributedUnchangedWithByzantineDisabled) {
   config.honeypots = 8;
   const auto r = run_distributed(config);
   EXPECT_EQ(r.merged.records.size(), 28945u);
-  EXPECT_EQ(fingerprint(r.merged), 0xad6b1b6fa123723aull);
+  EXPECT_EQ(test::record_fingerprint(r.merged), 0xad6b1b6fa123723aull);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "fault/abuse.hpp"
 #include "logbook/journal.hpp"
 #include "logbook/log_io.hpp"
+#include "test_support.hpp"
 
 namespace edhp {
 namespace {
@@ -30,8 +31,7 @@ struct RunResult {
 /// Run the inspect binary with `args`, capturing stdout+stderr.
 RunResult run_inspect(const std::string& args) {
   const auto out_path =
-      (std::filesystem::temp_directory_path() / "edhp_inspect_out.txt")
-          .string();
+      test::unique_temp_path("edhp_inspect_out", ".txt").string();
   const std::string cmd = std::string(EDHP_INSPECT_BIN) + " " + args + " > " +
                           out_path + " 2>&1";
   const int raw = std::system(cmd.c_str());
@@ -51,8 +51,7 @@ RunResult run_inspect(const std::string& args) {
 
 class InspectCliTest : public ::testing::Test {
  protected:
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "edhp_inspect_fixtures";
+  std::filesystem::path dir = test::unique_temp_path("edhp_inspect_fixtures");
 
   std::string log_path, journal_path;
 

@@ -11,6 +11,7 @@
 
 #include "logbook/journal.hpp"
 #include "logbook/spool.hpp"
+#include "test_support.hpp"
 
 namespace edhp::logbook {
 namespace {
@@ -173,8 +174,7 @@ TEST(Journal, MidStreamCorruptionIsQuarantinedNotFatal) {
 
 TEST(Journal, SaveLoadRoundTrip) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_rt.edhpjrn")
-          .string();
+      test::unique_temp_path("edhp_journal", ".edhpjrn").string();
   const Journal j = sample_journal();
   j.save(path);
   const Journal loaded = Journal::load(path);
@@ -185,8 +185,7 @@ TEST(Journal, SaveLoadRoundTrip) {
 
 TEST(Journal, LoadRejectsBadMagicAndMissingFile) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_bad.edhpjrn")
-          .string();
+      test::unique_temp_path("edhp_journal", ".edhpjrn").string();
   {
     std::ofstream f(path, std::ios::binary);
     f << "NOTAJRNL plus some trailing garbage";
@@ -198,8 +197,7 @@ TEST(Journal, LoadRejectsBadMagicAndMissingFile) {
 
 TEST(Journal, LoadToleratesTornTailInFile) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_torn.edhpjrn")
-          .string();
+      test::unique_temp_path("edhp_journal", ".edhpjrn").string();
   const Journal j = sample_journal();
   j.save(path);
   // Truncate the file mid-frame (drop the last 3 bytes).

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "common/bytes.hpp"
 #include "logbook/log_io.hpp"
 #include "logbook/merge.hpp"
+#include "test_support.hpp"
 
 namespace edhp::logbook {
 namespace {
@@ -111,10 +113,12 @@ TEST(LogIo, CsvHasHeaderAndRows) {
 
 TEST(LogIo, SaveAndLoadFile) {
   const auto log = sample_log(5);
-  const std::string path = ::testing::TempDir() + "/edhp_test_log.bin";
+  const std::string path =
+      test::unique_temp_path("edhp_test_log", ".bin").string();
   save(path, log);
   EXPECT_EQ(load(path), log);
   EXPECT_THROW((void)load(path + ".does-not-exist"), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Merge, OrdersByTimestampAcrossLogs) {

@@ -8,6 +8,7 @@
 #include "honeypot/manager.hpp"
 #include "logbook/log_io.hpp"
 #include "server/server.hpp"
+#include "test_support.hpp"
 
 namespace edhp::honeypot {
 namespace {
@@ -354,7 +355,7 @@ TEST_F(ManagerTest, PersistLogsWritesLoadableFiles) {
   launch_one();
   launch_one(ContentStrategy::random_content);
   settle();
-  const auto dir = ::testing::TempDir() + "edhp_persist";
+  const auto dir = test::unique_temp_path("edhp_persist").string();
   std::filesystem::create_directories(dir);
   const auto paths = manager.persist_logs(dir);
   ASSERT_EQ(paths.size(), 2u);

@@ -3,23 +3,25 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "analysis/log_stats.hpp"
 #include "scenario/multi_server.hpp"
+#include "test_support.hpp"
 
 namespace edhp::scenario {
 namespace {
 
+MultiServerConfig mini_config() {
+  MultiServerConfig config;
+  config.scale = 0.03;
+  config.days = 4;
+  config.honeypots = 6;
+  config.server_sizes = {0.5, 0.3, 0.2};
+  config.audit = true;  // the golden below proves auditing is a no-op
+  return config;
+}
+
 const MultiServerResult& mini_run() {
-  static const MultiServerResult result = [] {
-    MultiServerConfig config;
-    config.scale = 0.03;
-    config.days = 4;
-    config.honeypots = 6;
-    config.server_sizes = {0.5, 0.3, 0.2};
-    return run_multi_server(config);
-  }();
+  static const MultiServerResult result = run_multi_server(mini_config());
   return result;
 }
 
@@ -96,50 +98,70 @@ TEST(MultiServer, HoneypotsOnDifferentServersSeeDifferentPeers) {
 TEST(MultiServer, GoldenUnchangedWithFaultsDisabled) {
   const auto& r = mini_run();
   EXPECT_EQ(r.base.merged.records.size(), 12778u);
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : r.base.merged.records) {
-    std::uint64_t t_bits = 0;
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  EXPECT_EQ(h, 0x4187cf786e73a860ull);
+  EXPECT_EQ(test::record_fingerprint(r.base.merged), 0x4187cf786e73a860ull);
   EXPECT_EQ(r.base.faults.host_crashes, 0u);
   EXPECT_EQ(r.base.recovery.records_lost_tail, 0u);
+  // The audited run fills and balances the conservation ledger.
+  EXPECT_TRUE(r.base.audit.enabled);
+  EXPECT_TRUE(r.base.audit.balanced()) << r.base.audit.breakdown();
+  EXPECT_EQ(r.base.audit.records_born, r.base.merged.records.size());
 }
 
-// Third leg of the lazy-vs-eager determinism contract (distributed and
-// greedy live in test_scenario.cpp): eager materialization must reproduce
-// the lazy campaign — and therefore the golden fingerprint — bit for bit.
-TEST(MultiServer, LazyAndEagerCampaignsProduceIdenticalDatasets) {
-  MultiServerConfig config;
-  config.scale = 0.03;
-  config.days = 4;
-  config.honeypots = 6;
-  config.server_sizes = {0.5, 0.3, 0.2};
-  config.population_mode = peer::PopulationMode::legacy_eager;
-  const auto eager = run_multi_server(config);
-  const auto& lazy = mini_run();  // default mode is lazy
-  ASSERT_EQ(eager.base.merged.records.size(),
-            lazy.base.merged.records.size());
-  for (std::size_t i = 0; i < eager.base.merged.records.size(); ++i) {
-    const auto& a = eager.base.merged.records[i];
-    const auto& b = lazy.base.merged.records[i];
+// Conservation under churn: host crashes and control-plane crashes, with
+// the durable merge publishing the dataset, still balance the ledger.
+TEST(MultiServer, LedgerBalancesUnderHostFaultsAndManagerCrashes) {
+  auto config = mini_config();
+  config.days = 3;
+  config.chaos.enabled = true;
+  config.chaos.host_mtbf = hours(18);
+  config.chaos.manager_mtbf = days(1);
+  const auto r = run_multi_server(config);  // audited: throws on imbalance
+  EXPECT_GT(r.base.faults.host_crashes, 0u);
+  EXPECT_GT(r.base.recovery.manager_crashes, 0u);
+  EXPECT_GT(r.base.merged.records.size(), 0u);
+  EXPECT_TRUE(r.base.audit.balanced()) << r.base.audit.breakdown();
+  EXPECT_EQ(r.base.audit.unaccounted(), 0);
+}
+
+// The chaos link knobs reach the multi-server network: duplicated survey
+// datagrams show up in the traffic totals.
+TEST(MultiServer, ChaosLinkKnobsReachTheNetwork) {
+  MultiServerConfig config = mini_config();
+  config.days = 1;
+  config.chaos.link_dup = 0.5;
+  const auto r = run_multi_server(config);
+  EXPECT_GT(r.base.net_totals.datagrams_duplicated, 0u);
+}
+
+// The auditor's self-test fault reaches multi-server honeypots: the silent
+// loss it injects shows up as unaccounted records in the ledger.
+TEST(MultiServer, AuditSelftestDropShowsAsUnaccounted) {
+  MultiServerConfig config = mini_config();
+  config.days = 1;
+  config.audit = false;  // report the imbalance instead of throwing
+  config.chaos.audit_selftest_drop = 7;
+  const auto r = run_multi_server(config);
+  EXPECT_FALSE(r.base.audit.balanced());
+  EXPECT_GT(r.base.audit.unaccounted(), 0);
+}
+
+// Twin-run determinism: a second run of the mini campaign in the same
+// process reproduces the first, and therefore the golden, bit for bit.
+TEST(MultiServer, TwinRunsProduceIdenticalDatasets) {
+  const auto second = run_multi_server(mini_config());
+  const auto& first = mini_run();
+  ASSERT_EQ(second.base.merged.records.size(),
+            first.base.merged.records.size());
+  for (std::size_t i = 0; i < second.base.merged.records.size(); ++i) {
+    const auto& a = second.base.merged.records[i];
+    const auto& b = first.base.merged.records[i];
     ASSERT_EQ(a.timestamp, b.timestamp) << "record " << i;
     ASSERT_EQ(a.peer, b.peer) << "record " << i;
     ASSERT_EQ(a.user, b.user) << "record " << i;
     ASSERT_EQ(a.honeypot, b.honeypot) << "record " << i;
     ASSERT_EQ(a.type, b.type) << "record " << i;
   }
-  EXPECT_EQ(eager.base.net_nodes_retired, 0u);
-  EXPECT_GT(lazy.base.net_nodes_retired, 0u);
+  EXPECT_GT(first.base.net_nodes_retired, 0u);
 }
 
 TEST(MultiServer, MergedLogIsStage2AndOrdered) {

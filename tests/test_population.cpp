@@ -221,7 +221,6 @@ TEST_F(PopulationTest, StopThenRestartResumesCleanly) {
 
 TEST_F(PopulationTest, LazySlabRecyclesSlotsAndRetiresNodes) {
   Population pop(context(), Rng(14));
-  ASSERT_EQ(pop.mode(), PopulationMode::lazy);
   pop.add_demand(FileDemand{file, 300, 0, 300});
   pop.start();
   s.run_until(days(6));
@@ -235,18 +234,6 @@ TEST_F(PopulationTest, LazySlabRecyclesSlotsAndRetiresNodes) {
   EXPECT_LT(net.live_node_count(), net.node_count());
   // Per-demand folded stats carry the finished peers' behaviour.
   EXPECT_GT(pop.finished_stats(0).sessions, 0u);
-}
-
-TEST_F(PopulationTest, LegacyEagerModeKeepsEveryPeerMaterialized) {
-  Population pop(context(), Rng(15), PopulationMode::legacy_eager);
-  pop.add_demand(FileDemand{file, 200, 0, 100});
-  pop.start();
-  s.run_until(days(4));
-  ASSERT_EQ(pop.arrivals(), 100u);
-  EXPECT_EQ(pop.slab_capacity(), 0u);  // the slab never engaged
-  EXPECT_EQ(net.nodes_retired(), 0u);  // nodes live forever
-  EXPECT_GT(pop.finished(), 50u);
-  EXPECT_GT(pop.totals().sessions, 0u);
 }
 
 TEST_F(PopulationTest, PexPeersSkipTheServer) {

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/log_stats.hpp"
 #include "analysis/subsets.hpp"
+#include "scenario/multi_server.hpp"
 #include "scenario/scenario.hpp"
+#include "test_support.hpp"
 
 namespace edhp::scenario {
 namespace {
@@ -212,27 +217,6 @@ TEST(GreedyScenario, Fig12PopularityIsSkewed) {
   EXPECT_GT(pop.front().peers, 4 * pop[pop.size() / 2].peers);
 }
 
-/// FNV-1a (64-bit words) over every merged record field that matters for
-/// bit-identity.
-std::uint64_t fingerprint(const logbook::LogFile& log) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : log.records) {
-    std::uint64_t t_bits = 0;
-    static_assert(sizeof(rec.timestamp) == 8);
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  return h;
-}
-
 // Golden baselines: with the fault model disabled (the default), the merged
 // logs must stay bit-identical to the pre-fault-subsystem seed. A change
 // here means some dormant code path consumed an RNG draw or reordered
@@ -240,7 +224,7 @@ std::uint64_t fingerprint(const logbook::LogFile& log) {
 TEST(Scenarios, GoldenDistributedUnchangedWithFaultsDisabled) {
   const auto& r = mini_distributed();
   EXPECT_EQ(r.merged.records.size(), 28945u);
-  EXPECT_EQ(fingerprint(r.merged), 0xad6b1b6fa123723aull);
+  EXPECT_EQ(test::record_fingerprint(r.merged), 0xad6b1b6fa123723aull);
   // Dormant fault machinery left no trace.
   EXPECT_EQ(r.faults.host_crashes + r.faults.uplink_outages +
                 r.faults.server_restarts,
@@ -259,7 +243,7 @@ TEST(Scenarios, GoldenDistributedUnchangedWithFaultsDisabled) {
 TEST(Scenarios, GoldenGreedyUnchangedWithFaultsDisabled) {
   const auto& r = mini_greedy();
   EXPECT_EQ(r.merged.records.size(), 479288u);
-  EXPECT_EQ(fingerprint(r.merged), 0x7fe276d7b5708429ull);
+  EXPECT_EQ(test::record_fingerprint(r.merged), 0x7fe276d7b5708429ull);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
   EXPECT_EQ(r.audit.records_born, r.merged.records.size());
 }
@@ -277,36 +261,26 @@ TEST(Scenarios, DeterministicForFixedSeed) {
   EXPECT_EQ(a.merged.records, b.merged.records);
 }
 
-// The lazy slab (the default) and the historical eager map must produce the
-// same campaign bit-for-bit: materialization strategy is invisible to the
-// RNG stream and the event order. The golden tests above already pin the
-// lazy path to the seed fingerprints; these pin eager == lazy directly.
-TEST(Scenarios, LazyAndEagerPopulationsProduceIdenticalDatasets) {
+// The population slab recycles: memory tracks peak concurrency, so a
+// campaign retires network nodes and allocates far fewer slots than it has
+// arrivals.
+TEST(Scenarios, LazyPopulationRecyclesSlotsAndNodes) {
   DistributedConfig config;
   config.scale = 0.01;
   config.days = 3;
   config.honeypots = 4;
-  const auto lazy = run_distributed(config);
-  config.population_mode = peer::PopulationMode::legacy_eager;
-  const auto eager = run_distributed(config);
-  EXPECT_EQ(lazy.merged.records.size(), eager.merged.records.size());
-  EXPECT_EQ(fingerprint(lazy.merged), fingerprint(eager.merged));
-  EXPECT_EQ(lazy.population_arrivals, eager.population_arrivals);
-  EXPECT_EQ(lazy.peer_totals.sessions, eager.peer_totals.sessions);
-  // ...while the memory behaviour diverges as designed.
-  EXPECT_GT(lazy.net_nodes_retired, 0u);
-  EXPECT_EQ(eager.net_nodes_retired, 0u);
-  EXPECT_GT(lazy.population_slab_slots, 0u);
-  EXPECT_EQ(eager.population_slab_slots, 0u);
-  EXPECT_LT(lazy.population_slab_slots, lazy.population_arrivals);
+  const auto r = run_distributed(config);
+  EXPECT_GT(r.net_nodes_retired, 0u);
+  EXPECT_GT(r.population_slab_slots, 0u);
+  EXPECT_LT(r.population_slab_slots, r.population_arrivals);
 }
 
-// The hardest parity case: every adversarial subsystem at once. Chaos
-// churn, abuse traffic and Byzantine lies all draw from their own split
-// streams and schedule against the same engine, so the materialization
-// strategy must stay invisible even while hosts crash, liars connect and
-// the defense excludes records.
-TEST(Scenarios, ChaosAbuseByzantineParityAcrossPopulationModes) {
+// Twin runs of the hardest case, every adversarial subsystem at once.
+// Chaos churn, abuse traffic and Byzantine lies all draw from their own
+// split streams and schedule against the same engine, so a second run in
+// the same process must reproduce the first bit for bit even while hosts
+// crash, liars connect and the defense excludes records.
+TEST(Scenarios, ChaosAbuseByzantineTwinRunsAreIdentical) {
   DistributedConfig config;
   config.scale = 0.01;
   config.days = 3;
@@ -325,31 +299,32 @@ TEST(Scenarios, ChaosAbuseByzantineParityAcrossPopulationModes) {
   b.forge_list_mtba = hours(4);
   b.replay_hello_mtba = hours(4);
 
-  const auto lazy = run_distributed(config);
-  config.population_mode = peer::PopulationMode::legacy_eager;
-  const auto eager = run_distributed(config);
+  const auto first = run_distributed(config);
+  const auto second = run_distributed(config);
 
   // The run genuinely exercised all three adversaries.
-  EXPECT_GT(lazy.faults.host_crashes, 0u);
-  EXPECT_GT(lazy.abuse.connections_opened, 0u);
-  EXPECT_GT(lazy.byzantine.forged_lists_sent, 0u);
+  EXPECT_GT(first.faults.host_crashes, 0u);
+  EXPECT_GT(first.abuse.connections_opened, 0u);
+  EXPECT_GT(first.byzantine.forged_lists_sent, 0u);
 
-  EXPECT_EQ(lazy.merged.records.size(), eager.merged.records.size());
-  EXPECT_EQ(fingerprint(lazy.merged), fingerprint(eager.merged));
-  EXPECT_EQ(lazy.integrity.records_excluded, eager.integrity.records_excluded);
-  EXPECT_EQ(lazy.byzantine.messages_sent, eager.byzantine.messages_sent);
+  EXPECT_EQ(first.merged.records.size(), second.merged.records.size());
+  EXPECT_EQ(test::record_fingerprint(first.merged),
+            test::record_fingerprint(second.merged));
+  EXPECT_EQ(first.integrity.records_excluded,
+            second.integrity.records_excluded);
+  EXPECT_EQ(first.byzantine.messages_sent, second.byzantine.messages_sent);
 }
 
-TEST(Scenarios, LazyAndEagerGreedyCampaignsProduceIdenticalDatasets) {
+TEST(Scenarios, GreedyTwinRunsProduceIdenticalDatasets) {
   GreedyConfig config;
   config.scale = 0.02;
   config.days = 3;
-  const auto lazy = run_greedy(config);
-  config.population_mode = peer::PopulationMode::legacy_eager;
-  const auto eager = run_greedy(config);
-  EXPECT_EQ(lazy.merged.records.size(), eager.merged.records.size());
-  EXPECT_EQ(fingerprint(lazy.merged), fingerprint(eager.merged));
-  EXPECT_EQ(lazy.population_arrivals, eager.population_arrivals);
+  const auto first = run_greedy(config);
+  const auto second = run_greedy(config);
+  EXPECT_EQ(first.merged.records.size(), second.merged.records.size());
+  EXPECT_EQ(test::record_fingerprint(first.merged),
+            test::record_fingerprint(second.merged));
+  EXPECT_EQ(first.population_arrivals, second.population_arrivals);
 }
 
 // Record streaming folds the dataset into count + fingerprint instead of
@@ -392,7 +367,8 @@ TEST(Scenarios, PopulationOverrideScalesPoolsNotRates) {
   config.population_override = 100000;
   const auto huge = run_distributed(config);
   EXPECT_EQ(huge.population_arrivals, baseline.population_arrivals);
-  EXPECT_EQ(fingerprint(huge.merged), fingerprint(baseline.merged));
+  EXPECT_EQ(test::record_fingerprint(huge.merged),
+            test::record_fingerprint(baseline.merged));
 }
 
 TEST(Scenarios, SeedChangesOutcome) {
@@ -406,6 +382,66 @@ TEST(Scenarios, SeedChangesOutcome) {
   const auto b = run_distributed(config);
   EXPECT_NE(a.merged.records, b.merged.records);
 }
+
+// Greedy chaos runs get standby servers like the distributed campaign: a
+// long home-server outage makes the watchdog escalate the honeypot to one.
+TEST(Scenarios, GreedyEscalatesToStandbyServer) {
+  GreedyConfig config;
+  config.scale = 0.02;
+  config.days = 2;
+  config.chaos.enabled = true;
+  config.chaos.server_mtbf = hours(12);
+  config.chaos.server_restart_mean = hours(3);
+  ASSERT_GT(config.chaos.backup_servers, 0u);
+  const auto r = run_greedy(config);
+  EXPECT_GT(r.faults.server_restarts, 0u);
+  EXPECT_GT(r.recovery.escalations, 0u);
+}
+
+// Every campaign checks its length up front through the shared config path:
+// a zero, negative or non-finite `days` is rejected with an error naming
+// the field, while a fractional day still runs.
+class CampaignDays : public ::testing::TestWithParam<std::string> {
+ protected:
+  void run(double days) const {
+    if (GetParam() == "distributed") {
+      DistributedConfig config;
+      config.scale = 0.01;
+      config.honeypots = 2;
+      config.days = days;
+      (void)run_distributed(config);
+    } else if (GetParam() == "greedy") {
+      GreedyConfig config;
+      config.scale = 0.01;
+      config.days = days;
+      (void)run_greedy(config);
+    } else {
+      MultiServerConfig config;
+      config.scale = 0.01;
+      config.honeypots = 2;
+      config.days = days;
+      (void)run_multi_server(config);
+    }
+  }
+};
+
+TEST_P(CampaignDays, RejectsNonPositiveOrNonFiniteDays) {
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::nan("")}) {
+    try {
+      run(bad);
+      ADD_FAILURE() << "days = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("days"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(run(0.25));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCampaigns, CampaignDays,
+                         ::testing::Values("distributed", "greedy",
+                                           "multi_server"));
 
 }  // namespace
 }  // namespace edhp::scenario
