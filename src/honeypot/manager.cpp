@@ -1194,12 +1194,26 @@ logbook::LogFile Manager::merged_anonymized_durable(
   return merged;
 }
 
+std::vector<const Honeypot*> Manager::every_honeypot() const {
+  std::vector<const Honeypot*> out;
+  out.reserve(fleet_.size() + orphans_.size());
+  for (const auto& slot : fleet_) out.push_back(slot.honeypot.get());
+  for (const auto& hp : orphans_) out.push_back(hp.get());
+  return out;
+}
+
 std::vector<std::string> Manager::export_observed_names(
     std::uint64_t threshold) const {
+  const auto honeypots = every_honeypot();
+  std::size_t total = 0;
+  for (const Honeypot* hp : honeypots) total += hp->observed_files().size();
   std::vector<std::string> corpus;
-  for (const auto& slot : fleet_) {
-    const auto& names = slot.honeypot->observed_names();
-    corpus.insert(corpus.end(), names.begin(), names.end());
+  corpus.reserve(total);
+  for (const Honeypot* hp : honeypots) {
+    const auto& seen = hp->observed_files();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      corpus.emplace_back(seen.name(i));
+    }
   }
   anonymize::NameAnonymizer anonymizer(corpus, threshold);
   std::vector<std::string> out;
@@ -1211,18 +1225,17 @@ std::vector<std::string> Manager::export_observed_names(
 }
 
 Manager::ObservedFiles Manager::observed_files() const {
-  std::unordered_map<FileId, std::uint32_t> all;
-  for (const auto& slot : fleet_) {
-    for (const auto& [file, size] : slot.honeypot->observed_files()) {
-      all.try_emplace(file, size);
+  const auto honeypots = every_honeypot();
+  std::size_t total = 0;
+  for (const Honeypot* hp : honeypots) total += hp->observed_files().size();
+  ObservedCatalog all;
+  all.reserve(total);
+  for (const Honeypot* hp : honeypots) {
+    for (const auto& e : hp->observed_files().entries()) {
+      all.insert(e.file, e.size);
     }
   }
-  ObservedFiles out;
-  out.distinct = all.size();
-  for (const auto& [file, size] : all) {
-    out.bytes += size;
-  }
-  return out;
+  return {all.size(), all.bytes()};
 }
 
 }  // namespace edhp::honeypot

@@ -303,8 +303,10 @@ class Manager {
   [[nodiscard]] logbook::LogFile merged_anonymized_durable(
       std::uint64_t* distinct_peers_out = nullptr) const;
 
-  /// Union of observed (harvested) files across the fleet with their total
-  /// size in bytes — Table I's distinct-files and space-used statistics.
+  /// Union of observed (harvested) files across the fleet, then any
+  /// orphans a dead manager left behind, with their total size in bytes —
+  /// Table I's distinct-files and space-used statistics. A file's size is
+  /// the one the first honeypot in that order saw.
   struct ObservedFiles {
     std::uint64_t distinct = 0;
     std::uint64_t bytes = 0;
@@ -312,12 +314,16 @@ class Manager {
   [[nodiscard]] ObservedFiles observed_files() const;
 
   /// Publishable catalog of observed file names: every name harvested by
-  /// the fleet, passed through the word-frequency anonymiser (words rarer
-  /// than `threshold` become integer tokens).
+  /// the fleet and the orphans, passed through the word-frequency
+  /// anonymiser (words rarer than `threshold` become integer tokens).
   [[nodiscard]] std::vector<std::string> export_observed_names(
       std::uint64_t threshold) const;
 
  private:
+  /// Fleet in slot order, then orphans: every honeypot whose harvest
+  /// counts towards the published statistics.
+  [[nodiscard]] std::vector<const Honeypot*> every_honeypot() const;
+
   struct Slot {
     std::unique_ptr<Honeypot> honeypot;
     std::uint16_t id = 0;       ///< honeypot id (journal identity)

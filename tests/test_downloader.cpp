@@ -153,7 +153,7 @@ TEST_F(DownloaderTest, SharesCacheWhenAsked) {
   peer->start();
   s.run_until(days(1));
   EXPECT_GE(hp.observed_files().size(), 1u);
-  EXPECT_GT(hp.observed_bytes(), 0u);
+  EXPECT_GT(hp.observed_files().bytes(), 0u);
 }
 
 TEST_F(DownloaderTest, NeverSharesWhenDisabled) {

@@ -553,6 +553,32 @@ TEST(ChaosScenario, DisabledRecoveryLosesOnlyBoundedTails) {
   EXPECT_LE(ratio, 1.0);
 }
 
+// Table I's distinct files and space used count every honeypot that ran,
+// not just the ones a live manager still tracks: with recovery off the
+// fleet ends the campaign orphaned, yet it harvested exactly the shared
+// lists the recovered fleet did.
+TEST(ChaosScenario, DisabledRecoveryStillCountsOrphanedObservedFiles) {
+  DistributedConfig recovered;
+  recovered.scale = 0.02;
+  recovered.days = 16;
+  recovered.honeypots = 8;
+  recovered.chaos.enabled = true;
+  recovered.chaos.host_mtbf = 0;
+  recovered.chaos.manager_mtbf = days(8);
+
+  DistributedConfig orphaned = recovered;
+  orphaned.chaos.manager_recovery = false;
+
+  const auto on = run_distributed(recovered);
+  const auto off = run_distributed(orphaned);
+  ASSERT_GT(off.faults.manager_crashes, 0u);
+  EXPECT_EQ(off.recovery.manager_recoveries, 0u);
+  EXPECT_EQ(off.merged.records.size(), on.merged.records.size());
+  EXPECT_GT(on.observed.distinct, 0u);
+  EXPECT_EQ(off.observed.distinct, on.observed.distinct);
+  EXPECT_EQ(off.observed.bytes, on.observed.bytes);
+}
+
 TEST(ChaosScenario, GreedyChaosVariantRuns) {
   GreedyConfig config;
   config.scale = 0.02;

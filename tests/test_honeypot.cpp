@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "honeypot/honeypot.hpp"
+#include "honeypot/observed_catalog.hpp"
 #include "proto/filehash.hpp"
 #include "server/server.hpp"
 
@@ -250,10 +254,11 @@ TEST_F(HoneypotTest, HarvestsSharedListsAndAggregates) {
   peer2.ep->send(proto::encode(AnyMessage{answer}));
   settle();
 
-  EXPECT_EQ(hp.observed_files().size(), 3u);
-  EXPECT_EQ(hp.observed_bytes(), 1000u + 2000u + 3000u);
+  ASSERT_EQ(hp.observed_files().size(), 3u);
+  EXPECT_EQ(hp.observed_files().bytes(), 1000u + 2000u + 3000u);
   EXPECT_EQ(hp.counters().get("shared_lists_received"), 2u);
-  EXPECT_EQ(hp.observed_names().size(), 3u);
+  EXPECT_EQ(hp.observed_files().name(0), "shared-0.avi");
+  EXPECT_EQ(hp.observed_files().name(2), "shared-2.avi");
 }
 
 TEST_F(HoneypotTest, GreedyModeAdoptsHarvestedFiles) {
@@ -453,6 +458,81 @@ TEST_F(HoneypotTest, SearchWhileDisconnectedIsNoOp) {
   settle();
   EXPECT_TRUE(hp.advertised().empty());
   EXPECT_EQ(hp.counters().get("searches_sent"), 0u);
+}
+
+// --- The observed-file catalogue ------------------------------------------
+
+TEST(ObservedCatalog, DuplicateKeepsFirstSizeAndName) {
+  ObservedCatalog c;
+  const auto id = FileId::from_words(5, 9);
+  EXPECT_TRUE(c.insert(id, 100, "first.avi"));
+  EXPECT_FALSE(c.insert(id, 999, "second.avi"));
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.entries()[0].size, 100u);
+  EXPECT_EQ(c.name(0), "first.avi");
+  EXPECT_EQ(c.bytes(), 100u);
+  EXPECT_TRUE(c.insert(FileId::from_words(6, 9), 1));
+}
+
+// Many regrowths of the index and the entry vector: entries stay in
+// first-seen order and every repeat is still recognised, for synthetic ids
+// that differ only in their low bytes and for random ones.
+TEST(ObservedCatalog, FirstSeenOrderSurvivesRegrowth) {
+  constexpr std::size_t kFiles = 50'000;
+  std::mt19937_64 rng(7);
+  std::vector<FileId> sequential;
+  std::vector<FileId> random;
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    sequential.push_back(FileId::from_words(i, 9));
+    random.push_back(FileId::from_words(rng(), rng()));
+  }
+  for (const auto* ids : {&sequential, &random}) {
+    ObservedCatalog c;
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      ASSERT_TRUE(c.insert((*ids)[i], static_cast<std::uint32_t>(i)));
+      // Re-sight an earlier file now and then: never a new entry.
+      ASSERT_FALSE(c.insert((*ids)[i / 2], 0));
+    }
+    ASSERT_EQ(c.size(), kFiles);
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      ASSERT_EQ(c.entries()[i].file, (*ids)[i]) << i;
+      ASSERT_EQ(c.entries()[i].size, i) << i;
+      // The final index still finds every entry.
+      ASSERT_FALSE(c.insert((*ids)[i], 0)) << i;
+    }
+    ASSERT_EQ(c.size(), kFiles);
+  }
+}
+
+TEST(ObservedCatalog, NamesRoundTripThroughTheArena) {
+  const std::vector<std::string> names = {"a.avi", "", "long name with spaces.mkv",
+                                          "", "z"};
+  ObservedCatalog c;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    c.insert(FileId::from_words(i, 9), 1, names[i]);
+  }
+  c.insert(FileId::from_words(2, 9), 1, "ignored repeat");
+  ASSERT_EQ(c.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(c.name(i), names[i]) << i;
+  }
+}
+
+TEST(ObservedCatalog, BytesIsTheSumOfDistinctSizes) {
+  ObservedCatalog c;
+  c.reserve(1000);
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    // Sizes near the top of the u32 range: the total needs all 64 bits.
+    const auto size = static_cast<std::uint32_t>(0xFFFF0000u + i);
+    c.insert(FileId::from_words(i % 700, i % 700), size);
+    if (i < 700) sum += size;
+  }
+  EXPECT_EQ(c.size(), 700u);
+  EXPECT_EQ(c.bytes(), sum);
+  std::uint64_t from_entries = 0;
+  for (const auto& e : c.entries()) from_entries += e.size;
+  EXPECT_EQ(c.bytes(), from_entries);
 }
 
 }  // namespace

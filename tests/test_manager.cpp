@@ -34,7 +34,34 @@ class ManagerTest : public ::testing::Test {
     c.strategy = strategy;
     return manager.launch(std::move(c), net.add_node(true), ref);
   }
+
+  /// A fresh peer says HELLO to honeypot `index` and sends it `answer` as
+  /// its shared-file list. The endpoint is kept open in `peers`.
+  void share_list(std::size_t index, const proto::AskSharedFilesAnswer& answer) {
+    const auto peer_node = net.add_node(true);
+    net.connect(peer_node, manager.honeypot(index).node(),
+                [this, peer_node, answer](net::EndpointPtr ep) {
+                  proto::Hello hello;
+                  hello.user = UserId::from_words(peer_node, 1);
+                  hello.client_id = net.info(peer_node).ip.value();
+                  hello.port = 4662;
+                  ep->send(proto::encode(proto::AnyMessage{hello}));
+                  ep->send(proto::encode(proto::AnyMessage{answer}));
+                  peers.push_back(std::move(ep));
+                });
+  }
+
+  std::vector<net::EndpointPtr> peers;
 };
+
+proto::PublishedFile published(std::uint64_t id, std::string name,
+                               std::uint32_t size) {
+  proto::PublishedFile pf;
+  pf.file = FileId::from_words(id, 9);
+  pf.name = std::move(name);
+  pf.size = size;
+  return pf;
+}
 
 TEST_F(ManagerTest, LaunchConnectsAndAssignsIds) {
   launch_one();
@@ -138,9 +165,29 @@ TEST_F(ManagerTest, StopDisconnectsFleet) {
 
 TEST_F(ManagerTest, ObservedFilesUnionAcrossFleet) {
   launch_one();
+  launch_one();
   settle();
   EXPECT_EQ(manager.observed_files().distinct, 0u);
   EXPECT_EQ(manager.observed_files().bytes, 0u);
+
+  // Honeypot 1 hears first, and claims file 2 is 200 bytes; honeypot 0
+  // later says 20. The union takes the size from the first honeypot in
+  // fleet order, not the first sighting in time.
+  proto::AskSharedFilesAnswer late;
+  late.files = {published(1, "a.avi", 10), published(2, "b.avi", 20),
+                published(3, "c.avi", 30)};
+  proto::AskSharedFilesAnswer early;
+  early.files = {published(2, "b.avi", 200), published(3, "c.avi", 30),
+                 published(4, "d.avi", 40)};
+  share_list(1, early);
+  settle();
+  share_list(0, late);
+  settle();
+
+  EXPECT_EQ(manager.honeypot(0).observed_files().size(), 3u);
+  EXPECT_EQ(manager.honeypot(1).observed_files().size(), 3u);
+  EXPECT_EQ(manager.observed_files().distinct, 4u);
+  EXPECT_EQ(manager.observed_files().bytes, 10u + 20u + 30u + 40u);
 }
 
 TEST_F(ManagerTest, OutOfRangeIndexThrows) {
@@ -177,26 +224,12 @@ TEST_F(ManagerTest, ReassignMovesHoneypotToAnotherServer) {
 TEST_F(ManagerTest, ExportObservedNamesAnonymises) {
   launch_one();
   settle();
-  // Feed the honeypot a shared list through the wire.
-  const auto peer_node = net.add_node(true);
-  net::EndpointPtr keep;
-  net.connect(peer_node, manager.honeypot(0).node(), [&](net::EndpointPtr ep) {
-    keep = std::move(ep);
-    proto::Hello hello;
-    hello.user = UserId::from_words(1, 1);
-    hello.client_id = net.info(peer_node).ip.value();
-    hello.port = 4662;
-    keep->send(proto::encode(proto::AnyMessage{hello}));
-    proto::AskSharedFilesAnswer answer;
-    for (int i = 0; i < 3; ++i) {
-      proto::PublishedFile pf;
-      pf.file = FileId::from_words(static_cast<std::uint64_t>(i), 9);
-      pf.name = "common.word.secret" + std::to_string(i) + ".avi";
-      pf.size = 10;
-      answer.files.push_back(pf);
-    }
-    keep->send(proto::encode(proto::AnyMessage{answer}));
-  });
+  proto::AskSharedFilesAnswer answer;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    answer.files.push_back(published(
+        i, "common.word.secret" + std::to_string(i) + ".avi", 10));
+  }
+  share_list(0, answer);
   settle();
 
   const auto names = manager.export_observed_names(/*threshold=*/2);
@@ -206,6 +239,25 @@ TEST_F(ManagerTest, ExportObservedNamesAnonymises) {
     EXPECT_NE(n.find("common"), std::string::npos);
     EXPECT_EQ(n.find("secret"), std::string::npos);
   }
+}
+
+// A dead manager's honeypots are orphans, still running; what they
+// harvested still counts towards Table I and the name export.
+TEST_F(ManagerTest, ObservedFilesIncludeOrphansAfterCrash) {
+  launch_one();
+  launch_one();
+  settle();
+  proto::AskSharedFilesAnswer answer;
+  answer.files = {published(1, "a.avi", 10), published(2, "b.avi", 20)};
+  share_list(0, answer);
+  answer.files = {published(2, "b.avi", 20), published(3, "c.avi", 30)};
+  share_list(1, answer);
+  settle();
+  ASSERT_EQ(manager.crash(), 2u);
+  EXPECT_EQ(manager.fleet_size(), 0u);
+  EXPECT_EQ(manager.observed_files().distinct, 3u);
+  EXPECT_EQ(manager.observed_files().bytes, 60u);
+  EXPECT_EQ(manager.export_observed_names(/*threshold=*/1).size(), 4u);
 }
 
 }  // namespace

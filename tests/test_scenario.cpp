@@ -171,10 +171,48 @@ TEST(DistributedScenario, BlacklistReputationOrdering) {
   EXPECT_LT(r.reputation_no_content, r.reputation_random_content);
 }
 
+// Table I's distinct files and space used, pinned exactly: how harvested
+// lists are stored must not move them.
 TEST(DistributedScenario, ObservedFilesAggregated) {
   const auto& r = mini_distributed();
-  EXPECT_GT(r.observed.distinct, 0u);
-  EXPECT_GT(r.observed.bytes, 0u);
+  EXPECT_EQ(r.observed.distinct, 2637u);
+  EXPECT_EQ(r.observed.bytes, 934041255808u);
+}
+
+// The same pin under every fault, abuse, Byzantine, clock and budget axis
+// at once, where abuse's oversize lists flood the catalogue with fake ids
+// and manager crashes rebuild the fleet from the journal.
+TEST(DistributedScenario, ObservedFilesPinnedUnderComposedChaos) {
+  DistributedConfig config;
+  config.scale = 0.02;
+  config.days = 4;
+  config.honeypots = 8;
+  config.audit = true;
+  config.chaos.enabled = true;
+  config.chaos.host_mtbf = hours(18);
+  config.chaos.uplink_mtbf = hours(16);
+  config.chaos.server_mtbf = days(2);
+  config.abuse.enabled = true;
+  auto& b = config.chaos.byzantine;
+  b.enabled = true;
+  b.fabricate_mtbf = hours(12);
+  b.stale_index_mtbf = hours(12);
+  b.forge_list_mtba = hours(4);
+  b.replay_hello_mtba = hours(4);
+  config.chaos.clock_drift_mtbf = days(2);
+  config.chaos.clock_step_mtbf = hours(12);
+  config.chaos.clock_step_max = 60.0;
+  config.chaos.disk_quota_bytes = 192 * 1024;
+  config.chaos.mem_budget_records = 4096;
+  config.chaos.manager_mtbf = days(1);
+  config.chaos.disk_full_mtbf = hours(12);
+  config.chaos.mem_pressure_mtbf = hours(12);
+  const auto r = run_distributed(config);
+  EXPECT_GT(r.abuse.oversize_episodes, 0u);
+  EXPECT_GT(r.faults.manager_crashes, 0u);
+  EXPECT_EQ(r.merged.records.size(), 12394u);
+  EXPECT_EQ(r.observed.distinct, 168468u);
+  EXPECT_EQ(r.observed.bytes, 61783988786829u);
 }
 
 TEST(GreedyScenario, HarvestGrowsAdvertisedList) {
